@@ -1,10 +1,10 @@
 //! Shared helpers for the SERO experiment regenerators.
 //!
 //! Every figure and table of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md` for the index); Criterion benches in
-//! `benches/` measure the implementation itself. This library holds the
-//! bits they share: fixed-width table printing, ASCII sparklines for scan
-//! data, the workload driver that replays [`sero_workload::Op`] streams
+//! regenerates it; Criterion benches in `benches/` measure the
+//! implementation itself. This library holds the bits they share:
+//! fixed-width table printing, ASCII sparklines for scan data, the
+//! workload driver that replays [`sero_workload::Op`] streams
 //! against a file system, and the [`json`] machinery behind the
 //! machine-readable `BENCH_*.json` baselines.
 //!

@@ -6,8 +6,7 @@
 //!
 //! No external cryptography crate is used: the offline dependency allow-list
 //! excludes one, and a self-contained implementation validated against the
-//! NIST CAVS vectors is itself part of the reproduced substrate (see
-//! `DESIGN.md`).
+//! NIST CAVS vectors is itself part of the reproduced substrate.
 //!
 //! # Examples
 //!
