@@ -16,6 +16,11 @@
 //! full pass on a clone — the incremental pass must verify ≥10× fewer
 //! lines while reporting identical tamper evidence.
 //!
+//! Memory is barred too: every clone — the serial reference, the eight
+//! workers, the full-pass twin — shares the medium's dot pages
+//! copy-on-write, so the process peak (`VmHWM`) must stay within twice
+//! the resident set after set-up, i.e. within two devices' worth.
+//!
 //! Emits `BENCH_scrub.json` (schema `sero-bench/v1`, see `sero-bench`'s
 //! crate docs). `SERO_BENCH_FAST=1` heats fewer lines for CI; the device
 //! stays ≥ 64 MiB either way.
@@ -32,6 +37,21 @@ use std::time::Instant;
 const DEVICE_BLOCKS: u64 = 131_072;
 const LINE_ORDER: u32 = 4; // 16-block lines: 1 hash + 15 data
 const WORKERS: usize = 8;
+
+/// A `/proc/self/status` field in MB (`VmRSS`, `VmHWM`), or `None` where
+/// the file cannot be read.
+fn status_mb(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kb / 1024.0)
+}
 
 fn fill_and_heat(
     dev: &mut SeroDevice,
@@ -81,6 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dev = SeroDevice::with_blocks(DEVICE_BLOCKS);
     fill_and_heat(&mut dev, 0, lines_to_heat)?;
     let setup_ms = host_setup.elapsed().as_secs_f64() * 1e3;
+    let setup_rss_mb = status_mb("VmRSS");
 
     // --- serial reference: the one-line-at-a-time verify loop -----------
     let mut serial_dev = dev.clone();
@@ -129,6 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "incremental evidence diverged from the full pass"
     );
     let reduction = full_after.summary.lines as f64 / incremental.summary.lines as f64;
+    let peak_rss_mb = status_mb("VmHWM");
 
     let speedup = serial_ns as f64 / parallel_ns as f64;
     let parallel_s = parallel_ns as f64 / 1e9;
@@ -181,7 +203,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         incremental_ns as f64 / 1e6,
         if reduction >= 10.0 { "PASS" } else { "FAIL" }
     );
+    // Host-time and memory figures stay out of "metrics": they vary by
+    // host. The RSS bar is asserted; sharded ≤ serial host time is only
+    // recorded, since a host-time assert fails on a loaded machine.
+    let rss_bar = setup_rss_mb.zip(peak_rss_mb);
+    match rss_bar {
+        Some((setup, peak)) => println!(
+            "  peak RSS: {peak:.1} MB vs {setup:.1} MB after set-up (bar: <= 2x one device) : {}",
+            if peak <= 2.0 * setup { "PASS" } else { "FAIL" }
+        ),
+        None => println!("  peak RSS: /proc/self/status unreadable, bar skipped"),
+    }
+    let sharded_le_serial = parallel_host_ms <= serial_host_ms;
+    println!(
+        "  sharded host time {parallel_host_ms:.0} ms vs serial {serial_host_ms:.0} ms: sharded <= serial {sharded_le_serial} (recorded, not asserted)"
+    );
 
+    let mut host = Json::obj()
+        .set("setup_ms", setup_ms)
+        .set("serial_ms", serial_host_ms)
+        .set("parallel_ms", parallel_host_ms)
+        .set("sharded_le_serial", sharded_le_serial);
+    if let Some((setup, peak)) = rss_bar {
+        host = host.set("setup_rss_mb", setup).set("peak_rss_mb", peak);
+    }
     let doc = Json::obj()
         .set("schema", "sero-bench/v1")
         .set("bench", "scrub")
@@ -213,13 +258,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("incremental_tampered", incremental.summary.tampered)
                 .set("incremental_reduction", reduction),
         )
-        .set(
-            "host",
-            Json::obj()
-                .set("setup_ms", setup_ms)
-                .set("serial_ms", serial_host_ms)
-                .set("parallel_ms", parallel_host_ms),
-        );
+        .set("host", host);
     let path = bench_out_path("scrub");
     std::fs::write(&path, doc.render())?;
     println!("  wrote {}", path.display());
@@ -232,5 +271,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reduction >= 10.0,
         "incremental scrub verified only {reduction:.1}x fewer lines than full, below the 10x bar"
     );
+    if let Some((setup, peak)) = rss_bar {
+        assert!(
+            peak <= 2.0 * setup,
+            "peak RSS {peak:.1} MB exceeds twice the {setup:.1} MB after set-up"
+        );
+    }
     Ok(())
 }

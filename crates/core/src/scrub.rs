@@ -11,10 +11,13 @@
 //!
 //! [`scrub_device`] models exactly that: the registered heated lines are
 //! split into contiguous shards, each shard is verified by a worker thread
-//! on its own clone of the device (clones share no state, mirroring
-//! per-region controllers with private channels and clocks), and the
-//! results are merged into a per-line [`VerifyOutcome`] report plus a
-//! device-wide [`ScrubSummary`]. Two times fall out:
+//! on its own clone of the device (mirroring per-region controllers with
+//! private channels and clocks), and the results are merged into a
+//! per-line [`VerifyOutcome`] report plus a device-wide [`ScrubSummary`].
+//! A clone shares the medium's dot pages copy-on-write, so it costs a copy
+//! of the page table. A worker's writes — dots an `erb` inversion left
+//! changed — copy only the pages they land on and never reach the origin
+//! or another worker. Two times fall out:
 //!
 //! * **serial device time** — the sum of all workers' busy time: what the
 //!   one-line-at-a-time loop would have cost;
@@ -276,12 +279,14 @@ pub(crate) fn tally_outcomes(outcomes: &[LineScrub], summary: &mut ScrubSummary)
 /// first if the device was just attached. The device clock advances by the
 /// parallel elapsed time.
 ///
-/// Each worker clones the full device, so host memory scales with
-/// `workers × device size` and host wall time does not improve on small
-/// hosts — the win is in *device* time. A read-only share is not an
-/// option: the five-step `erb` protocol physically inverts and restores
-/// dots, so verification mutates the medium (and its channel RNG and
-/// clock) even though it leaves the data unchanged.
+/// Each worker verifies on its own clone of the device. A read-only share
+/// is not an option: the five-step `erb` protocol physically inverts and
+/// restores dots, so verification mutates the medium (and its channel RNG
+/// and clock) even though it leaves the data unchanged. The clone is cheap
+/// because the medium's dot pages are copy-on-write: it copies the page
+/// table, and a worker copies a page only when an `erb` leaves a dot of
+/// its own shard's hash blocks changed (a misread on a noisy channel), so
+/// host memory grows by the page tables, not by `workers × device size`.
 ///
 /// # Errors
 ///
@@ -439,6 +444,31 @@ mod tests {
         assert_eq!(report.summary.tampered, 2);
         assert_eq!(report.summary.intact, 6);
         assert_eq!(report.tampered_lines().count(), 2);
+    }
+
+    #[test]
+    fn sharded_workers_leave_the_origin_medium_untouched() {
+        let (mut dev, lines) = heated_device(128, 3, 8);
+        dev.probe_mut()
+            .mws(lines[4].start() + 2, &[0xC3; 512])
+            .unwrap();
+        let snapshot = dev.probe().medium().clone();
+        let states: Vec<_> = (0..snapshot.dot_count())
+            .map(|dot| snapshot.state(dot))
+            .collect();
+        let mut serial_dev = dev.clone();
+
+        // Each worker's `erb` inverts and restores dots on its own clone;
+        // none of those writes may reach the pages it shares with `dev`.
+        let report = scrub_device(&mut dev, &ScrubConfig::with_workers(4)).unwrap();
+        assert_eq!(report.summary.workers, 4);
+        let medium = dev.probe().medium();
+        assert_eq!(medium, &snapshot);
+        assert!((0..medium.dot_count()).all(|dot| medium.state(dot) == states[dot as usize]));
+
+        let serial = scrub_device(&mut serial_dev, &ScrubConfig::with_workers(1)).unwrap();
+        assert_eq!(report.outcomes, serial.outcomes);
+        assert_eq!(report.summary.tampered, 1);
     }
 
     #[test]

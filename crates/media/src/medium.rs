@@ -46,7 +46,10 @@ pub enum DotShape {
 }
 
 /// A patterned magnetic medium.
-#[derive(Debug, Clone)]
+///
+/// Cloning is cheap: the dot states live in a copy-on-write
+/// [`DotArray`], so a clone shares every page until one side writes it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Medium {
     geometry: Geometry,
     dots: DotArray,
@@ -118,6 +121,19 @@ impl Medium {
     /// write took.
     pub fn write_mag(&mut self, index: u64, bit: bool) -> bool {
         self.dots.write_mag(index, bit)
+    }
+
+    /// Magnetic writes of `bits` to consecutive dots from `first` — one
+    /// [`Medium::write_mag`] per bit, resolved a page at a time. Returns
+    /// how many heated dots refused the write.
+    pub fn write_mag_run(&mut self, first: u64, bits: &[bool]) -> u64 {
+        self.dots.write_mag_run(first, bits)
+    }
+
+    /// Ground-truth states of dots `first..first + out.len()`, resolved a
+    /// page at a time.
+    pub fn read_states(&self, first: u64, out: &mut [DotState]) {
+        self.dots.read_states(first, out);
     }
 
     /// Magnetic read `mrb`.

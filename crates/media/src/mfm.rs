@@ -259,7 +259,13 @@ impl ReadChannel {
     /// thresholding [`ReadChannel::sense`], skipping the noise arithmetic
     /// whenever the noise envelope proves the outcome.
     pub fn detect<R: Rng + ?Sized>(&self, medium: &Medium, index: u64, rng: &mut R) -> Detection {
-        let state = medium.state(index);
+        self.detect_state(medium.state(index), rng)
+    }
+
+    /// [`ReadChannel::detect`] of a dot whose state the caller already
+    /// read, for example a whole sector through [`Medium::read_states`].
+    /// The draws and outcome are those of `detect` on that dot.
+    pub fn detect_state<R: Rng + ?Sized>(&self, state: DotState, rng: &mut R) -> Detection {
         let draws = self.draw(Axis::OutOfPlane, state, rng);
         let (cutoff, nominal) = match state {
             DotState::Up => (self.envelope.magnetic, Detection::One),
@@ -279,15 +285,21 @@ impl ReadChannel {
         }
     }
 
-    /// Reads a run of dots, returning detections in order. The probe array
-    /// layer builds sector reads from this.
+    /// Reads a run of dots, returning detections in order: the states
+    /// come from one [`Medium::read_states`], the draws are those of a
+    /// [`ReadChannel::detect`] per dot.
     pub fn detect_run<R: Rng + ?Sized>(
         &self,
         medium: &Medium,
         range: core::ops::Range<u64>,
         rng: &mut R,
     ) -> Vec<Detection> {
-        range.map(|i| self.detect(medium, i, rng)).collect()
+        let mut states = vec![DotState::Down; range.end.saturating_sub(range.start) as usize];
+        medium.read_states(range.start, &mut states);
+        states
+            .into_iter()
+            .map(|state| self.detect_state(state, rng))
+            .collect()
     }
 
     /// Direct in-plane heat sensing — available only on elliptic-dot media

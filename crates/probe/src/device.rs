@@ -41,6 +41,7 @@ use crate::timing::{CostModel, OpCounters, SimClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sero_codec::manchester::{self, Scan};
+use sero_media::dot::DotState;
 use sero_media::geometry::Geometry;
 use sero_media::medium::{DotShape, Medium};
 use sero_media::mfm::{Detection, ReadChannel};
@@ -398,14 +399,15 @@ impl ProbeDevice {
 
     // --- raw (unclocked) primitives -------------------------------------
 
-    fn detect_raw(&mut self, dot: u64) -> Detection {
-        self.channel.detect(&self.medium, dot, &mut self.rng)
-    }
-
     /// Hard-decision read: weak signals force a coin flip, reproducing
     /// Figure 2's "more or less random result" for heated dots.
     fn read_bit_raw(&mut self, dot: u64) -> (bool, bool) {
-        match self.detect_raw(dot) {
+        self.read_state_raw(self.medium.state(dot))
+    }
+
+    /// [`ProbeDevice::read_bit_raw`] of a dot whose state was already read.
+    fn read_state_raw(&mut self, state: DotState) -> (bool, bool) {
+        match self.channel.detect_state(state, &mut self.rng) {
             Detection::One => (true, false),
             Detection::Zero => (false, false),
             Detection::Weak => (self.rng.random(), true),
@@ -413,21 +415,38 @@ impl ProbeDevice {
     }
 
     fn erb_raw(&mut self, dot: u64) -> DotProbe {
-        // §3's atomic five-step sequence. Any weak signal or failed
-        // verification marks the dot heated; the double inversion restores
-        // the original data on intact dots.
-        let (d1, weak1) = self.read_bit_raw(dot);
+        let before = self.medium.state(dot);
+        let mut state = before;
+        let probe = self.erb_state(&mut state);
+        if state != before {
+            self.medium.write_mag(dot, state == DotState::Up);
+        }
+        probe
+    }
+
+    /// §3's atomic five-step sequence on a dot whose state the caller
+    /// holds: the protocol's magnetic writes land in `state`, and the
+    /// caller stores it back if it changed. Any weak signal or failed
+    /// verification marks the dot heated; the double inversion restores
+    /// the original data on intact dots, so the store is usually elided.
+    fn erb_state(&mut self, state: &mut DotState) -> DotProbe {
+        let write = |state: &mut DotState, bit: bool| {
+            if !state.is_heated() {
+                *state = DotState::magnetised(bit);
+            }
+        };
+        let (d1, weak1) = self.read_state_raw(*state);
         if weak1 {
             return DotProbe::Heated;
         }
-        self.medium.write_mag(dot, !d1);
-        let (d2, weak2) = self.read_bit_raw(dot);
+        write(state, !d1);
+        let (d2, weak2) = self.read_state_raw(*state);
         if weak2 || d2 == d1 {
-            self.medium.write_mag(dot, d1);
+            write(state, d1);
             return DotProbe::Heated;
         }
-        self.medium.write_mag(dot, d1);
-        let (d3, weak3) = self.read_bit_raw(dot);
+        write(state, d1);
+        let (d3, weak3) = self.read_state_raw(*state);
         if weak3 || d3 != d1 {
             return DotProbe::Heated;
         }
@@ -531,15 +550,19 @@ impl ProbeDevice {
     /// advancing the clock and counters but paying no seek. Extent reads
     /// stream over this after a single head-of-range seek.
     pub(crate) fn read_sector_here(&mut self, pba: u64) -> Result<DecodedSector, SectorError> {
-        let first = self.block_first_dot(pba);
+        let mut states = [DotState::Down; SECTOR_DOTS];
+        self.medium
+            .read_states(self.block_first_dot(pba), &mut states);
 
+        // Detection stays per dot and in dot order, so the channel RNG
+        // stream is the one a per-dot read would draw.
         let mut raw = vec![0u8; SECTOR_TOTAL_BYTES];
         let mut erased = Vec::new();
-        for (byte_idx, slot) in raw.iter_mut().enumerate() {
+        for ((byte_idx, slot), dots) in raw.iter_mut().enumerate().zip(states.chunks_exact(8)) {
             let mut byte = 0u8;
             let mut weak = false;
-            for bit in 0..8 {
-                let (b, w) = self.read_bit_raw(first + (byte_idx * 8 + bit) as u64);
+            for (bit, &state) in dots.iter().enumerate() {
+                let (b, w) = self.read_state_raw(state);
                 if b {
                     byte |= 1 << (7 - bit);
                 }
@@ -607,18 +630,13 @@ impl ProbeDevice {
         let raw = self.codec.encode_with_flags(pba, flags, data);
         let first = self.block_first_dot(pba);
 
-        let mut unwritable = 0usize;
-        for (byte_idx, &byte) in raw.iter().enumerate() {
-            for bit in 0..8 {
-                let value = (byte >> (7 - bit)) & 1 == 1;
-                if !self
-                    .medium
-                    .write_mag(first + (byte_idx * 8 + bit) as u64, value)
-                {
-                    unwritable += 1;
-                }
+        let mut bits = [false; SECTOR_DOTS];
+        for (dots, &byte) in bits.chunks_exact_mut(8).zip(raw.iter()) {
+            for (bit, dot) in dots.iter_mut().enumerate() {
+                *dot = (byte >> (7 - bit)) & 1 == 1;
             }
         }
+        let unwritable = self.medium.write_mag_run(first, &bits[..raw.len() * 8]) as usize;
 
         let ns = self.parallel_cost(SECTOR_DOTS as u64, self.cost.t_mwb_ns);
         self.clock.advance(ns);
@@ -769,10 +787,26 @@ impl ProbeDevice {
         let base = self.block_first_dot(pba) + DATA_AREA_FIRST_DOT as u64;
         let dots = cells * 2;
 
+        // Each dot's `erb` touches only that dot, so probing a snapshot of
+        // the run in dot order draws the same channel RNG stream as probing
+        // the medium dot by dot. The inversions restore the data, so the
+        // run is stored back only if a misread left a dot changed.
+        let mut states = [DotState::Down; DATA_AREA_DOTS];
+        let states = &mut states[..dots];
+        self.medium.read_states(base, states);
         let mut heat_flags = Vec::with_capacity(dots);
-        for offset in 0..dots {
-            let probe = self.erb_raw(base + offset as u64);
-            heat_flags.push(probe.is_heated());
+        let mut changed = false;
+        for state in states.iter_mut() {
+            let before = *state;
+            heat_flags.push(self.erb_state(state).is_heated());
+            changed |= *state != before;
+        }
+        if changed {
+            let mut bits = [false; DATA_AREA_DOTS];
+            for (bit, state) in bits.iter_mut().zip(states.iter()) {
+                *bit = *state == DotState::Up;
+            }
+            self.medium.write_mag_run(base, &bits[..dots]);
         }
 
         let ns = self.parallel_cost(dots as u64, self.cost.erb_ns());
@@ -788,6 +822,7 @@ impl ProbeDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use sero_codec::manchester::Cell;
 
     fn device(blocks: u64) -> ProbeDevice {
@@ -851,6 +886,36 @@ mod tests {
         dev.ewb(dot);
         let detected = (0..100).filter(|_| dev.erb(dot).is_heated()).count();
         assert!(detected >= 99, "erb detected {detected}/100");
+    }
+
+    #[test]
+    fn ers_equals_erb_per_dot_on_a_noisy_channel() {
+        // At σ = 0.8 some first reads misread without going weak, so the
+        // protocol leaves those dots changed and `ers` must store them.
+        let mut stored = false;
+        for seed in 0..4 {
+            let mut dev = ProbeDevice::builder()
+                .blocks(4)
+                .channel(ReadChannel::new(1.0, 0.8, 0.08, 0.5))
+                .seed(seed)
+                .build();
+            dev.mws(2, &payload(seed as u8)).unwrap();
+            let bits: Vec<bool> = (0..256).map(|i| i % 3 == 0).collect();
+            dev.ews(2, &bits).unwrap();
+            let before = dev.medium().clone();
+            let mut per_dot = dev.clone();
+
+            let scan = dev.ers(2).unwrap();
+            let base = per_dot.block_first_dot(2) + DATA_AREA_FIRST_DOT as u64;
+            let flags: Vec<bool> = (0..DATA_AREA_DOTS as u64)
+                .map(|offset| per_dot.erb(base + offset).is_heated())
+                .collect();
+            assert_eq!(scan, manchester::decode(&flags));
+            assert_eq!(dev.medium(), per_dot.medium());
+            assert_eq!(dev.rng.next_u64(), per_dot.rng.next_u64());
+            stored |= dev.medium() != &before;
+        }
+        assert!(stored, "no misread changed a dot; raise the noise");
     }
 
     #[test]
