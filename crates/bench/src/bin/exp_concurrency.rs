@@ -1,22 +1,25 @@
 //! EXP-CONCURRENCY — queue depth against the single-mutex baseline.
 //!
-//! PR 7 made the command path re-entrant: `sero-server` workers share one
-//! [`ConcurrentFs`], whose combiner drains staged requests through the
-//! admission scheduler ([`sero_core::admission`]) instead of serializing
-//! every caller on a global file-system mutex. This experiment measures
-//! what that buys on the only axis a one-sled device has — **device
-//! time** — and proves it costs nothing on the axis that matters most,
-//! the tamper evidence.
+//! The command path is re-entrant: the `sero-server` reactor and any
+//! in-process caller share one
+//! [`ConcurrentFs`](sero_fs::concurrent::ConcurrentFs), whose combiner
+//! drains staged requests through the admission scheduler
+//! ([`sero_core::admission`]) instead of serializing every caller on a
+//! global file-system mutex. This experiment measures what that buys on
+//! the only axis a one-sled device has — **device time** — and proves it
+//! costs nothing on the axis that matters most, the tamper evidence.
 //!
-//! * **Depth sweep** (the compared `"metrics"`): the same shuffled read
-//!   script replays against identical file systems at queue depths 1, 2,
-//!   4 and 8 ([`ConcurrentFs::handle_batch`] models `n` clients arriving
-//!   within one combining window). Depth 1 *is* the old global-mutex
+//! * **Depth sweep** (the compared `"metrics"`): the shared hot-read
+//!   script ([`sero_bench::hot_reads`]) replays against identical file
+//!   systems at queue depths 1, 2, 4, 8 and 16 (`handle_batch` models
+//!   `n` clients arriving within one combining window). This is the
+//!   repository's one depth curve; `exp_reactor` checks its real-socket
+//!   swarm against the depth-8 point. Depth 1 *is* the old global-mutex
 //!   schedule: one op per batch, nothing to merge. Deeper queues let the
 //!   admission scheduler coalesce reads into elevator sweeps; the sweep's
 //!   simulated device nanoseconds are the metric. `throughput_x8` — the
-//!   depth-1 over depth-8 device time — is asserted **≥ 2.5×**, the PR's
-//!   acceptance bar. Every depth must produce byte-identical responses.
+//!   depth-1 over depth-8 device time — is asserted **≥ 2.5×**. Every
+//!   depth must produce byte-identical responses.
 //! * **Scrub interleaving**: a budgeted scrub pass ticks between read
 //!   batches at depth 8, with one heated line tampered mid-workload. The
 //!   identical request sequence replays serialized (depth 1); both runs
@@ -32,107 +35,22 @@
 //! **blocking** in CI). `SERO_BENCH_FAST=1` shrinks only the host swarm —
 //! the deterministic phases are identical in both modes.
 
+use sero_bench::hot_reads::{
+    archive_name, build_fs, hot_name, read_script, run_depth, Lcg, ARCHIVE_BYTES, DEVICE_BLOCKS,
+    HOT_BYTES, HOT_FILES, SWEEP_OPS,
+};
 use sero_bench::json::Json;
 use sero_bench::{bench_out_path, device_clock_ns, fast_mode, row};
-use sero_core::device::{LineRecord, SeroDevice};
-use sero_fs::concurrent::ConcurrentFs;
-use sero_fs::fs::{FsConfig, SeroFs};
-use sero_proto::{ErrorCode, Request, Response, WireClass, WireSchedState};
+use sero_core::device::LineRecord;
+use sero_proto::{ErrorCode, Request, Response, WireSchedState};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Small hot files: one data block each, so the depth sweep is dominated
-/// by head movement (the thing queue depth can actually save) rather
-/// than by streaming the payloads themselves.
-const HOT_FILES: usize = 384;
-const HOT_BYTES: usize = 400;
-
 /// Archival files heated (and one tampered) for the scrub phase.
 const ARCHIVE_FILES: usize = 16;
-const ARCHIVE_BYTES: usize = 1100;
-
-/// Reads in the depth-sweep script.
-const SWEEP_OPS: usize = 192;
 
 /// Device-time budget per scrub slice in the interleaved phase.
 const SCRUB_BUDGET_NS: u64 = 300_000;
-
-const DEVICE_BLOCKS: u64 = 8192;
-
-/// Deterministic shuffle source.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-fn hot_name(i: usize) -> String {
-    format!("hot-{i:03}")
-}
-
-fn archive_name(i: usize) -> String {
-    format!("arch-{i:02}")
-}
-
-/// A fresh file system with the benchmark population: hot single-block
-/// files spread along the log, plus the archival set for the scrub phase.
-fn build_fs() -> ConcurrentFs {
-    let fs = SeroFs::format(SeroDevice::with_blocks(DEVICE_BLOCKS), FsConfig::default())
-        .expect("format succeeds");
-    let cfs = ConcurrentFs::new(fs);
-    for i in 0..HOT_FILES {
-        let resp = cfs.handle(Request::Create {
-            name: hot_name(i),
-            data: vec![i as u8 + 1; HOT_BYTES],
-            class: WireClass::Normal,
-        });
-        assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
-    }
-    for i in 0..ARCHIVE_FILES {
-        let resp = cfs.handle(Request::Create {
-            name: archive_name(i),
-            data: vec![0x40 | i as u8; ARCHIVE_BYTES],
-            class: WireClass::Archival,
-        });
-        assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
-    }
-    cfs
-}
-
-/// The shuffled read script every depth replays identically.
-fn read_script(ops: usize) -> Vec<Request> {
-    let mut lcg = Lcg(0x5EC0_2008);
-    (0..ops)
-        .map(|_| Request::Read {
-            name: hot_name((lcg.next() % HOT_FILES as u64) as usize),
-        })
-        .collect()
-}
-
-/// Replays `script` at the given queue depth; returns (device ns,
-/// responses, merged reads, deduplicated blocks).
-fn run_depth(depth: usize, script: &[Request]) -> (u128, Vec<Response>, u64, u64) {
-    let cfs = build_fs();
-    // Population leaves the sled at the log head, far past the hot set.
-    // Park it at track 0 so every depth starts from the same resting
-    // position and the metric measures the steady-state schedule, not one
-    // shared warm-up seek.
-    cfs.with_fs(|fs| fs.device_mut().probe_mut().park_at(0));
-    let start = cfs.with_fs(|fs| device_clock_ns(fs));
-    let mut responses = Vec::with_capacity(script.len());
-    for window in script.chunks(depth) {
-        responses.extend(cfs.handle_batch(window.to_vec()));
-    }
-    let elapsed = cfs.with_fs(|fs| device_clock_ns(fs)) - start;
-    let stats = cfs.admission_stats();
-    (elapsed, responses, stats.reads_merged, stats.blocks_deduped)
-}
 
 /// One scrub-interleaved replay at the given depth: heat the archive,
 /// tamper one line raw, start a budgeted pass, then alternate read
@@ -143,7 +61,7 @@ fn run_scrub_phase(
     depth: usize,
     script: &[Request],
 ) -> (Vec<Response>, Vec<Response>, Vec<LineRecord>, u64, u128) {
-    let cfs = build_fs();
+    let cfs = build_fs(ARCHIVE_FILES);
     let mut lines = Vec::new();
     for i in 0..ARCHIVE_FILES {
         match cfs.handle(Request::Heat {
@@ -229,7 +147,7 @@ where
             std::thread::spawn(move || {
                 let mut lcg = Lcg(0xBEEF ^ t as u64);
                 for _ in 0..ops_each {
-                    work((lcg.next() % HOT_FILES as u64) as usize);
+                    work((lcg.draw() % HOT_FILES as u64) as usize);
                 }
             })
         })
@@ -244,13 +162,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fast = fast_mode();
     let swarm_ops = if fast { 60 } else { 250 };
     println!(
-        "EXP-CONCURRENCY: {HOT_FILES} hot files, {SWEEP_OPS}-op script, depths 1/2/4/8{}\n",
+        "EXP-CONCURRENCY: {HOT_FILES} hot files, {SWEEP_OPS}-op script, depths 1/2/4/8/16{}\n",
         if fast { " (fast mode)" } else { "" },
     );
 
     // --- depth sweep ------------------------------------------------------
-    let script = read_script(SWEEP_OPS);
-    let depths = [1usize, 2, 4, 8];
+    let script = read_script();
+    let depths = [1usize, 2, 4, 8, 16];
     let mut device_ns = Vec::new();
     let mut baseline_responses: Option<Vec<Response>> = None;
     let mut merged_at_8 = (0u64, 0u64);
@@ -263,36 +181,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     for &depth in &depths {
-        let (ns, responses, merged, deduped) = run_depth(depth, &script);
-        match &baseline_responses {
-            None => baseline_responses = Some(responses),
-            Some(base) => assert_eq!(
-                base, &responses,
-                "depth {depth} changed a response — merging must be invisible"
-            ),
-        }
+        let run = run_depth(build_fs(ARCHIVE_FILES), depth, &script);
         if depth == 8 {
-            merged_at_8 = (merged, deduped);
+            merged_at_8 = (run.reads_merged, run.blocks_deduped);
         }
         println!(
             "{}",
             row(
                 &[
                     &format!("{depth}"),
-                    &format!("{:.2}", ns as f64 / 1e6),
-                    &format!("{:.0}", SWEEP_OPS as f64 / (ns as f64 / 1e9)),
-                    &format!("{merged}"),
-                    &format!("{deduped}"),
+                    &format!("{:.2}", run.device_ns as f64 / 1e6),
+                    &format!("{:.0}", run.ops_per_device_s()),
+                    &format!("{}", run.reads_merged),
+                    &format!("{}", run.blocks_deduped),
                 ],
                 &widths
             )
         );
-        device_ns.push(ns);
+        device_ns.push(run.device_ns);
+        match &baseline_responses {
+            None => baseline_responses = Some(run.responses),
+            Some(base) => assert_eq!(
+                base, &run.responses,
+                "depth {depth} changed a response — merging must be invisible"
+            ),
+        }
     }
     let ratio = |d: usize| {
         device_ns[0] as f64 / device_ns[depths.iter().position(|&x| x == d).unwrap()] as f64
     };
-    let (x2, x4, x8) = (ratio(2), ratio(4), ratio(8));
+    let (x2, x4, x8, x16) = (ratio(2), ratio(4), ratio(8), ratio(16));
     println!("\n  depth-8 throughput: {x8:.2}x the single-mutex schedule (bar: >= 2.5x)");
     assert!(
         x8 >= 2.5,
@@ -327,7 +245,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- host thread swarm ------------------------------------------------
-    let concurrent = build_fs();
+    let concurrent = build_fs(ARCHIVE_FILES);
     let concurrent_ops_s = swarm(8, swarm_ops, move |i| {
         assert!(matches!(
             concurrent.handle(Request::Read { name: hot_name(i) }),
@@ -335,7 +253,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     });
     let mutexed = Arc::new(Mutex::new(
-        build_fs().try_into_fs().ok().expect("sole owner"),
+        build_fs(ARCHIVE_FILES)
+            .try_into_fs()
+            .ok()
+            .expect("sole owner"),
     ));
     let mutexed_ops_s = swarm(8, swarm_ops, move |i| {
         let mut fs = mutexed.lock().expect("unpoisoned");
@@ -372,9 +293,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("depth_2_device_ms", device_ns[1] as f64 / 1e6)
                 .set("depth_4_device_ms", device_ns[2] as f64 / 1e6)
                 .set("depth_8_device_ms", device_ns[3] as f64 / 1e6)
+                .set("depth_16_device_ms", device_ns[4] as f64 / 1e6)
                 .set("throughput_x2", x2)
                 .set("throughput_x4", x4)
                 .set("throughput_x8", x8)
+                .set("throughput_x16", x16)
                 .set("reads_merged_at_8", merged_at_8.0)
                 .set("blocks_deduped_at_8", merged_at_8.1)
                 .set("scrub_depth8_device_ms", scrub8_ns as f64 / 1e6)

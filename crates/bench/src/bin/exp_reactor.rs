@@ -1,35 +1,32 @@
-//! EXP-REACTOR — readiness batching against the hand-off rate.
+//! EXP-REACTOR — readiness batching on real sockets.
 //!
-//! PR 9 replaced the blocking thread-per-connection daemon with a
-//! readiness-driven reactor: every request readable in one event-loop
-//! sweep dispatches as a *single* [`ConcurrentFs::handle_batch`]
+//! The daemon is a readiness-driven reactor: every request readable in
+//! one event-loop sweep dispatches as a *single*
+//! [`ConcurrentFs::handle_batch`](sero_fs::concurrent::ConcurrentFs::handle_batch)
 //! combining window, so n concurrent clients form the depth-n admission
-//! batches the flat combiner wants. This experiment measures whether the
-//! wire actually delivers the depth curve PR 7 proved in-process:
+//! batches the flat combiner wants. `exp_concurrency` owns the
+//! in-process depth curve; this experiment checks that the wire delivers
+//! it and answers exactly what the file system does:
 //!
-//! * **Framed ready-set sweep** (the compared `"metrics"`): the same
-//!   shuffled read script replays at ready-set sizes 1/2/4/8/16 — each
-//!   window is encoded to wire frames, fed through a [`FrameAssembler`]
-//!   in deterministically varied byte chunks (the reactor's receive
-//!   path), decoded, and dispatched as one batch. Device nanoseconds are
-//!   the metric; `throughput_x8` is asserted **≥ 2.5×** like
-//!   `exp_concurrency`, and every ready-set size must produce
-//!   byte-identical responses.
-//! * **Framed tamper drill** (also `"metrics"`): a heated line is
+//! * **Framed tamper drill** (the compared `"metrics"`): a heated line is
 //!   tampered through the raw probe; the framed `verify` must answer
 //!   `TAMPER-DETECTED` — the detection guarantee survives reassembly.
-//! * **Byte-identity across daemons**: the identical command script —
-//!   including a raw-write tamper and its verify — runs over real
-//!   sockets against a pool-mode daemon and a reactor daemon; every
-//!   response payload must match byte-for-byte (`responses_identical`).
+//! * **Byte-identity against the serial replay**: an 11-command script —
+//!   reads, a heat, a raw-write tamper into the heated line, its verify,
+//!   and status queries — runs over a real socket against a reactor
+//!   daemon and in-process through [`SeroFs::handle`] on an identical
+//!   file system. Every response payload must match byte-for-byte
+//!   (`responses_identical`), and the tampered verify must answer
+//!   `TAMPER-DETECTED`.
 //! * **Reactor swarm** (the informational `"host"`): real `sero-client`
 //!   swarms of 1/2/4/8/16 closed-loop connections against a reactor
 //!   daemon, plus an idle-connection axis (0/128/256 silent sockets held
 //!   open alongside 8 active clients). Wall numbers land under `"host"`;
 //!   the **blocking** acceptance check is the in-binary assertion that
 //!   the 8-client swarm's ops per *device*-second reaches ≥ 0.8× the
-//!   simulated depth-8 curve — the swarm must track the admission curve
-//!   instead of flatlining at the hand-off rate.
+//!   simulated depth-8 point of the shared hot-read curve
+//!   ([`sero_bench::hot_reads`]) — the swarm must track the admission
+//!   curve instead of flatlining at the hand-off rate.
 //!
 //! Emits `BENCH_reactor.json` (schema `sero-bench/v1`, compared
 //! **blocking** in CI) and `reactor_trace.json` (per-swarm latency
@@ -37,34 +34,29 @@
 //! only the host swarms — the deterministic phases are identical in both
 //! modes.
 
+use sero_bench::hot_reads::{
+    archive_name, build_fs, hot_name, read_script, run_depth, Lcg, ARCHIVE_BYTES, DEVICE_BLOCKS,
+    HOT_BYTES, HOT_FILES, SWEEP_OPS,
+};
 use sero_bench::json::Json;
 use sero_bench::{
     bench_out_path, device_clock_ns, fast_mode, ns_to_us as us, percentile_ns as percentile, row,
     trace_out_path,
 };
 use sero_client::SeroClient;
-use sero_core::device::SeroDevice;
-use sero_fs::concurrent::ConcurrentFs;
-use sero_fs::fs::{FsConfig, SeroFs};
+use sero_fs::SeroFs;
 use sero_proto::frame::{encode_request, read_frame, write_frame, FrameAssembler, FrameKind};
-use sero_proto::{ErrorCode, Request, Response, WireClass};
-use sero_server::{SeroServer, ServerConfig, ServerMode};
+use sero_proto::{ErrorCode, Request, Response};
+use sero_server::{SeroServer, ServerConfig};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Same hot population as `exp_concurrency`, so the ready-set curve here
-/// is directly comparable to the in-process depth curve there.
-const HOT_FILES: usize = 384;
-const HOT_BYTES: usize = 400;
-
-/// Archival files for the tamper drill.
+/// Archival files for the tamper drill and the wire script.
 const ARCHIVE_FILES: usize = 4;
-const ARCHIVE_BYTES: usize = 1100;
 
-/// Reads in the ready-set sweep script (divisible by every swept size).
-const SWEEP_OPS: usize = 192;
-
-const DEVICE_BLOCKS: u64 = 8192;
+/// Position of the tampered file's verify in the wire script's answers:
+/// the archive reads, the heat, the raw write, then the verify.
+const TAMPERED_VERIFY: usize = ARCHIVE_FILES + 2;
 
 /// The swarm the acceptance bar applies to, and its simulated twin.
 const TRACKED_CLIENTS: usize = 8;
@@ -73,105 +65,11 @@ const TRACKED_CLIENTS: usize = 8;
 /// this fraction of the simulated depth-8 admission curve.
 const TRACKING_FLOOR: f64 = 0.8;
 
-/// Deterministic shuffle source.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-fn hot_name(i: usize) -> String {
-    format!("hot-{i:03}")
-}
-
-fn archive_name(i: usize) -> String {
-    format!("arch-{i:02}")
-}
-
-/// The benchmark population, identical for every phase and both daemons.
-fn build_fs() -> ConcurrentFs {
-    let fs = SeroFs::format(SeroDevice::with_blocks(DEVICE_BLOCKS), FsConfig::default())
-        .expect("format succeeds");
-    let cfs = ConcurrentFs::new(fs);
-    for i in 0..HOT_FILES {
-        let resp = cfs.handle(Request::Create {
-            name: hot_name(i),
-            data: vec![i as u8 + 1; HOT_BYTES],
-            class: WireClass::Normal,
-        });
-        assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
-    }
-    for i in 0..ARCHIVE_FILES {
-        let resp = cfs.handle(Request::Create {
-            name: archive_name(i),
-            data: vec![0x40 | i as u8; ARCHIVE_BYTES],
-            class: WireClass::Archival,
-        });
-        assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
-    }
-    cfs
-}
-
-/// The shuffled read script every ready-set size replays identically.
-fn read_script(ops: usize) -> Vec<Request> {
-    let mut lcg = Lcg(0x5EC0_2008);
-    (0..ops)
-        .map(|_| Request::Read {
-            name: hot_name((lcg.next() % HOT_FILES as u64) as usize),
-        })
-        .collect()
-}
-
-/// Replays `script` at one ready-set size through the reactor's receive
-/// path: each window's frames are concatenated (the bytes `depth`
-/// readable sockets hold), fed to the assembler in deterministically
-/// varied chunk sizes, decoded, and dispatched as one combining window.
-/// Returns (device ns, responses, frames reassembled, chunks fed).
-fn run_ready_set(depth: usize, script: &[Request]) -> (u128, Vec<Response>, u64, u64) {
-    let cfs = build_fs();
-    cfs.with_fs(|fs| fs.device_mut().probe_mut().park_at(0));
-    let start = cfs.with_fs(|fs| device_clock_ns(fs));
-    let mut asm = FrameAssembler::new();
-    let mut lcg = Lcg(0xC41B_EE75 ^ depth as u64);
-    let mut responses = Vec::with_capacity(script.len());
-    let mut frames = 0u64;
-    let mut chunks = 0u64;
-    for window in script.chunks(depth) {
-        let mut wire = Vec::new();
-        for req in window {
-            wire.extend_from_slice(&encode_request(req).expect("bench request fits a frame"));
-        }
-        let mut batch = Vec::with_capacity(window.len());
-        let mut at = 0;
-        while at < wire.len() {
-            let size = (1 + (lcg.next() as usize % 96)).min(wire.len() - at);
-            asm.push(&wire[at..at + size]);
-            at += size;
-            chunks += 1;
-            while let Some((kind, payload)) = asm.next_frame().expect("own frames decode") {
-                assert_eq!(kind, FrameKind::Request);
-                batch.push(Request::decode(&payload).expect("own payload decodes"));
-                frames += 1;
-            }
-        }
-        assert_eq!(batch.len(), window.len(), "reassembly lost a frame");
-        responses.extend(cfs.handle_batch(batch));
-    }
-    let elapsed = cfs.with_fs(|fs| device_clock_ns(fs)) - start;
-    (elapsed, responses, frames, chunks)
-}
-
 /// The framed tamper drill: heat an archive file, rewrite one protected
 /// block through the raw probe, and drive `verify` through the frame
 /// codec. Returns 1 if (and only if) the evidence surfaced.
 fn run_framed_tamper() -> u64 {
-    let cfs = build_fs();
+    let cfs = build_fs(ARCHIVE_FILES);
     let line = match cfs.handle(Request::Heat {
         name: archive_name(0),
         metadata: b"exp-reactor".to_vec(),
@@ -203,31 +101,11 @@ fn run_framed_tamper() -> u64 {
     }
 }
 
-/// Runs the identical command script — creates, reads, a heat, a raw
-/// tamper, its verify, and status queries — over a real socket against a
-/// daemon in `mode`. Returns every response payload, byte-for-byte.
-fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
-    let server = SeroServer::bind_shared(
-        "127.0.0.1:0",
-        build_fs(),
-        ServerConfig {
-            mode,
-            allow_raw: true,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let handle = server.spawn().expect("spawn");
-    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("deadline");
-
-    let mut call = |req: &Request| -> Vec<u8> {
-        write_frame(&mut conn, FrameKind::Request, &req.encode()).expect("send");
-        let (_, payload) = read_frame(&mut conn).expect("recv").expect("response");
-        payload
-    };
-
+/// The wire script: archive reads, a heat, a raw-write tamper into the
+/// heated line, its verify, and status queries. `call` answers each
+/// request with its encoded response payload; the payloads come back in
+/// script order.
+fn wire_script(mut call: impl FnMut(&Request) -> Vec<u8>) -> Vec<Vec<u8>> {
     let mut outs = Vec::new();
     for i in 0..ARCHIVE_FILES {
         outs.push(call(&Request::Read {
@@ -248,14 +126,9 @@ fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
         pba: line.start() + 1,
         data: vec![0xEE; 512],
     }));
-    let verify_payload = call(&Request::Verify {
+    outs.push(call(&Request::Verify {
         name: archive_name(1),
-    });
-    match Response::decode(&verify_payload).expect("verify response") {
-        Response::Error(e) if e.code == ErrorCode::TamperDetected => {}
-        other => panic!("tamper evidence missing over the wire: {other:?}"),
-    }
-    outs.push(verify_payload);
+    }));
     outs.push(call(&Request::Verify {
         name: archive_name(2),
     }));
@@ -264,9 +137,43 @@ fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
     }));
     outs.push(call(&Request::list_all()));
     outs.push(call(&Request::FleetStatus));
+    outs
+}
+
+/// The wire script over a real socket against a reactor daemon that
+/// serves raw writes.
+fn run_reactor_script() -> Vec<Vec<u8>> {
+    let server = SeroServer::bind_shared(
+        "127.0.0.1:0",
+        build_fs(ARCHIVE_FILES),
+        ServerConfig {
+            allow_raw: true,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("deadline");
+    let outs = wire_script(|req| {
+        write_frame(&mut conn, FrameKind::Request, &req.encode()).expect("send");
+        let (_, payload) = read_frame(&mut conn).expect("recv").expect("response");
+        payload
+    });
     drop(conn);
     handle.shutdown();
     outs
+}
+
+/// The wire script in-process: one [`SeroFs::handle`] call per request
+/// on an identical file system, no socket, no combiner.
+fn run_serial_script() -> Vec<Vec<u8>> {
+    let mut fs: SeroFs = build_fs(ARCHIVE_FILES)
+        .try_into_fs()
+        .ok()
+        .expect("sole owner");
+    wire_script(|req| fs.handle(req.clone()).encode())
 }
 
 struct Swarm {
@@ -289,17 +196,16 @@ impl Swarm {
 }
 
 /// Runs `clients` closed-loop read clients (plus `idle` silent held
-/// sockets) against a reactor daemon sharing our [`ConcurrentFs`], so
+/// sockets) against a reactor daemon sharing our `ConcurrentFs`, so
 /// the simulated device clock is observable from outside.
 fn run_swarm(clients: usize, ops_per_client: usize, idle: usize) -> Swarm {
-    let cfs = build_fs();
+    let cfs = build_fs(ARCHIVE_FILES);
     let shared = cfs.clone();
     shared.with_fs(|fs| fs.device_mut().probe_mut().park_at(0));
     let server = SeroServer::bind_shared(
         "127.0.0.1:0",
         cfs,
         ServerConfig {
-            mode: ServerMode::Reactor,
             max_connections: 2048,
             ..ServerConfig::default()
         },
@@ -322,7 +228,7 @@ fn run_swarm(clients: usize, ops_per_client: usize, idle: usize) -> Swarm {
                 let mut lcg = Lcg(0xFEED ^ c as u64);
                 let mut latencies = Vec::with_capacity(ops_per_client);
                 for _ in 0..ops_per_client {
-                    let name = hot_name((lcg.next() % HOT_FILES as u64) as usize);
+                    let name = hot_name((lcg.draw() % HOT_FILES as u64) as usize);
                     let t = Instant::now();
                     client.read(&name).expect("read");
                     latencies.push(t.elapsed().as_nanos());
@@ -381,79 +287,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let swarm_sizes = [1usize, 2, 4, 8, 16];
     let idle_sizes = [0usize, 128, 256];
     println!(
-        "EXP-REACTOR: {HOT_FILES} hot files, {SWEEP_OPS}-op script, ready sets 1/2/4/8/16, \
-         swarms {swarm_sizes:?} x {ops_per_client} ops{}\n",
+        "EXP-REACTOR: {HOT_FILES} hot files, swarms {swarm_sizes:?} x {ops_per_client} ops{}\n",
         if fast { " (fast mode)" } else { "" },
     );
 
-    // --- framed ready-set sweep (deterministic) ---------------------------
-    let script = read_script(SWEEP_OPS);
-    let depths = [1usize, 2, 4, 8, 16];
-    let mut device_ns = Vec::new();
-    let mut frames_total = 0u64;
-    let mut chunks_total = 0u64;
-    let mut baseline: Option<Vec<Response>> = None;
-    let widths = [10, 14, 14, 10, 10];
+    // --- simulated depth-8 reference (deterministic) -----------------------
+    let sim8 = run_depth(build_fs(ARCHIVE_FILES), TRACKED_CLIENTS, &read_script());
+    let sim8_ops_per_device_s = sim8.ops_per_device_s();
     println!(
-        "{}",
-        row(
-            &["ready-set", "device ms", "ops/dev-s", "frames", "chunks"],
-            &widths
-        )
-    );
-    for &depth in &depths {
-        let (ns, responses, frames, chunks) = run_ready_set(depth, &script);
-        match &baseline {
-            None => baseline = Some(responses),
-            Some(base) => assert_eq!(
-                base, &responses,
-                "ready-set {depth} changed a response — reassembly must be invisible"
-            ),
-        }
-        println!(
-            "{}",
-            row(
-                &[
-                    &format!("{depth}"),
-                    &format!("{:.2}", ns as f64 / 1e6),
-                    &format!("{:.0}", SWEEP_OPS as f64 / (ns as f64 / 1e9)),
-                    &format!("{frames}"),
-                    &format!("{chunks}"),
-                ],
-                &widths
-            )
-        );
-        device_ns.push(ns);
-        frames_total += frames;
-        chunks_total += chunks;
-    }
-    let ratio = |d: usize| {
-        device_ns[0] as f64 / device_ns[depths.iter().position(|&x| x == d).unwrap()] as f64
-    };
-    let (x2, x4, x8, x16) = (ratio(2), ratio(4), ratio(8), ratio(16));
-    let sim8_ops_per_device_s =
-        SWEEP_OPS as f64 / (device_ns[depths.iter().position(|&x| x == 8).unwrap()] as f64 / 1e9);
-    println!("\n  ready-set 8: {x8:.2}x the one-at-a-time schedule (bar: >= 2.5x)");
-    assert!(
-        x8 >= 2.5,
-        "framed admission merging must clear the 2.5x bar, got {x8:.2}x"
+        "  simulated depth-{TRACKED_CLIENTS}: {SWEEP_OPS} reads in {:.2} ms device \
+         ({sim8_ops_per_device_s:.0} ops/dev-s)",
+        sim8.device_ns as f64 / 1e6,
     );
 
     // --- framed tamper drill ----------------------------------------------
     let tampered = run_framed_tamper();
     println!("  framed tamper drill: evidence found ({tampered} line)");
 
-    // --- byte-identity across daemons -------------------------------------
-    let pool_outs = run_wire_script(ServerMode::Pool);
-    let reactor_outs = run_wire_script(ServerMode::Reactor);
+    // --- byte-identity against the serial replay ---------------------------
+    let reactor_outs = run_reactor_script();
+    let serial_outs = run_serial_script();
     assert_eq!(
-        pool_outs, reactor_outs,
-        "reactor responses must be byte-identical to the blocking daemon"
+        reactor_outs, serial_outs,
+        "reactor responses must be byte-identical to the serial SeroFs::handle replay"
     );
+    match Response::decode(&reactor_outs[TAMPERED_VERIFY]).expect("verify response") {
+        Response::Error(e) if e.code == ErrorCode::TamperDetected => {}
+        other => panic!("tamper evidence missing over the wire: {other:?}"),
+    }
     let wire_script_commands = reactor_outs.len() as u64;
     println!(
-        "  wire script: {wire_script_commands} commands byte-identical across pool and reactor \
-         daemons (tamper evidence included)\n"
+        "  wire script: {wire_script_commands} commands byte-identical between the reactor \
+         and the serial replay (tamper evidence included)\n"
     );
 
     // --- reactor swarms (host) --------------------------------------------
@@ -539,18 +404,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .set(
             "metrics",
             Json::obj()
-                .set("ready_1_device_ms", device_ns[0] as f64 / 1e6)
-                .set("ready_2_device_ms", device_ns[1] as f64 / 1e6)
-                .set("ready_4_device_ms", device_ns[2] as f64 / 1e6)
-                .set("ready_8_device_ms", device_ns[3] as f64 / 1e6)
-                .set("ready_16_device_ms", device_ns[4] as f64 / 1e6)
-                .set("throughput_x2", x2)
-                .set("throughput_x4", x4)
-                .set("throughput_x8", x8)
-                .set("throughput_x16", x16)
                 .set("sim_depth8_ops_per_device_s", sim8_ops_per_device_s)
-                .set("frames_reassembled", frames_total)
-                .set("reassembly_chunks", chunks_total)
                 .set("wire_script_commands", wire_script_commands)
                 .set("responses_identical", 1u64)
                 .set("tampered", tampered),

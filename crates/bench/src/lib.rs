@@ -5,8 +5,9 @@
 //! implementation itself. This library holds the bits they share:
 //! fixed-width table printing, ASCII sparklines for scan data, the
 //! workload driver that replays [`sero_workload::Op`] streams
-//! against a file system, and the [`json`] machinery behind the
-//! machine-readable `BENCH_*.json` baselines.
+//! against a file system, the [`hot_reads`] depth curve, and the
+//! [`json`] machinery behind the machine-readable `BENCH_*.json`
+//! baselines.
 //!
 //! # The `BENCH_*.json` schema (`sero-bench/v1`)
 //!
@@ -122,24 +123,16 @@
 //!   14-byte frame header+CRC each way), `replay_device_ms` and
 //!   `commands_per_device_s` (simulated device clock), `scrub_ticks` /
 //!   `scrub_throttled`, `lines_verified`, `errors` (0 by construction,
-//!   asserted). The real-socket client swarm against a live
-//!   `sero-server` reports under `"host"` only (`swarm_<n>` latency
-//!   tails) — wall clock never gates CI.
-//! * `bench = "reactor"` — the PR 9 readiness-driven wire server
-//!   (`exp_reactor`): the `exp_concurrency` read script replayed at
-//!   ready-set sizes 1/2/4/8/16, each window encoded to wire frames, fed
-//!   through [`sero_proto::frame::FrameAssembler`] in deterministically
-//!   varied chunk sizes, and dispatched as a single
-//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`] combining
-//!   window: `ready_{1,2,4,8,16}_device_ms`, `throughput_x{2,4,8,16}`
-//!   (`throughput_x8` carries the ≥ 2.5× acceptance bar, asserted),
-//!   `sim_depth8_ops_per_device_s` (the simulated admission curve the
-//!   host swarm must track), `frames_reassembled` / `reassembly_chunks`
-//!   (chunked-delivery work proof), `wire_script_commands` and
-//!   `responses_identical` (1 iff an identical command script —
-//!   including a raw-write tamper and the verify that detects it —
-//!   answers byte-for-byte the same over real sockets against a
-//!   pool-mode daemon and a reactor daemon, asserted), `tampered` (the
+//!   asserted). `"host"` holds only the replay's wall-clock
+//!   milliseconds.
+//! * `bench = "reactor"` — the readiness-driven wire server
+//!   (`exp_reactor`): `sim_depth8_ops_per_device_s` (the depth-8 point of
+//!   the shared [`hot_reads`] curve, the reference the host swarm must
+//!   track), `wire_script_commands` and `responses_identical` (1 iff an
+//!   11-command script — including a raw-write tamper and the verify
+//!   that detects it — answers byte-for-byte the same over a real socket
+//!   against a reactor daemon as through a serial
+//!   [`sero_fs::fs::SeroFs::handle`] replay, asserted), `tampered` (the
 //!   framed tamper drill's evidence, asserted). Real reactor swarms at
 //!   1/2/4/8/16 clients plus an idle-connection axis (0/128/256 silent
 //!   sockets held open alongside 8 active clients) report under
@@ -151,13 +144,13 @@
 //!   `"host"`. The `reactor_trace.json` latency tails are uploaded for
 //!   humans and never compared.
 //! * `bench = "concurrency"` — the PR 7 concurrent foreground core
-//!   (`exp_concurrency`): one shuffled read script replayed against
-//!   identical file systems at queue depths 1/2/4/8 through
+//!   (`exp_concurrency`): the shared [`hot_reads`] script replayed against
+//!   identical file systems at queue depths 1/2/4/8/16 through
 //!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`], where depth 1
 //!   *is* the old global-mutex schedule and deeper queues let
 //!   [`sero_core::admission`] coalesce reads into elevator sweeps:
-//!   `depth_{1,2,4,8}_device_ms`, `throughput_x2` / `throughput_x4` /
-//!   `throughput_x8` (depth-1 device time over depth-N; `throughput_x8`
+//!   `depth_{1,2,4,8,16}_device_ms`, `throughput_x{2,4,8,16}`
+//!   (depth-1 device time over depth-N; `throughput_x8`
 //!   carries the ≥ 2.5× acceptance bar, asserted), `reads_merged_at_8` /
 //!   `blocks_deduped_at_8` (admission-scheduler work proof), plus the
 //!   scrub-interleaving phase — a budgeted pass ticking between read
@@ -211,6 +204,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hot_reads;
 pub mod json;
 
 use sero_fs::alloc::WriteClass;

@@ -5,23 +5,14 @@
 //! [`ConcurrentFs`](sero_fs::concurrent::ConcurrentFs) and serves the
 //! full command set through the one dispatch path — a remote `verify`
 //! means exactly what an in-process `verify` means, tamper evidence
-//! included. Two multiplexing strategies
-//! ([`ServerMode`]):
-//!
-//! * **[`reactor`]** (the default) — one readiness-driven event loop
-//!   owning every socket in non-blocking mode, with per-connection
-//!   incremental frame reassembly and backpressured write buffers.
-//!   Every request readable in a sweep dispatches as a *single*
-//!   `ConcurrentFs::handle_batch` combining window, so n concurrent
-//!   clients form the depth-n admission batches the flat combiner and
-//!   the admission scheduler are built for. Deadlines, idle reap, and
-//!   the `--max-connections` refusal are reactor timers.
-//! * **[`pool`]** — the blocking thread-per-connection baseline
-//!   (naive or shared-queue workers), kept as the dispatch baseline
-//!   `exp_server` and `exp_reactor` benchmark against.
-//!
-//! Either way the wire surface is identical: same frames, same typed
-//! errors, same tamper evidence, byte for byte.
+//! included. One readiness-driven event loop ([`reactor`]) owns every
+//! socket in non-blocking mode, with per-connection incremental frame
+//! reassembly and backpressured write buffers. Every request readable in
+//! a sweep dispatches as a *single* `ConcurrentFs::handle_batch`
+//! combining window, so n concurrent clients form the depth-n admission
+//! batches the flat combiner and the admission scheduler are built for.
+//! Deadlines, idle reap, and the `--max-connections` refusal are reactor
+//! timers.
 //!
 //! # Example
 //!
@@ -49,8 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pool;
 pub mod reactor;
 pub mod server;
 
-pub use server::{PoolKind, SeroServer, ServerConfig, ServerHandle, ServerMode};
+pub use server::{SeroServer, ServerConfig, ServerHandle};

@@ -1,15 +1,13 @@
 //! `sero-server` — serve a freshly formatted SERO device over TCP.
 //!
 //! ```text
-//! sero-server [--addr HOST:PORT] [--blocks N] [--mode reactor|pool]
-//!             [--pool naive|shared] [--threads N] [--allow-raw]
+//! sero-server [--addr HOST:PORT] [--blocks N] [--allow-raw]
 //!             [--max-connections N]
 //!             [--read-timeout-ms N] [--write-timeout-ms N]
 //! ```
 //!
-//! `--mode reactor` (the default) serves every connection from one
-//! readiness-driven event loop; `--mode pool` keeps the blocking
-//! thread-per-connection baseline (`--pool`/`--threads` apply there).
+//! One readiness-driven event loop on a single thread serves every
+//! connection.
 //!
 //! `--max-connections` caps live connections: a newcomer past the cap is
 //! answered with a typed `server-busy` refusal frame and closed instead
@@ -17,8 +15,7 @@
 //!
 //! `--read-timeout-ms` / `--write-timeout-ms` set the per-connection
 //! deadlines (0 disables); an idle or stalled peer past its read
-//! deadline is reaped rather than pinning a worker or an event-loop
-//! slot.
+//! deadline is reaped rather than holding an event-loop slot.
 //!
 //! `--allow-raw` additionally serves the raw-write attack surface, for
 //! tamper drills (the CI smoke test heats a file, raw-writes into its
@@ -26,7 +23,7 @@
 
 use sero_core::device::SeroDevice;
 use sero_fs::fs::{FsConfig, SeroFs};
-use sero_server::{PoolKind, SeroServer, ServerConfig, ServerMode};
+use sero_server::{SeroServer, ServerConfig};
 use std::process::ExitCode;
 
 struct Args {
@@ -56,29 +53,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--blocks: {e}"))?;
             }
-            "--mode" => {
-                args.config.mode = match value("--mode")?.as_str() {
-                    "reactor" => ServerMode::Reactor,
-                    "pool" => ServerMode::Pool,
-                    other => return Err(format!("--mode wants reactor|pool, got {other}")),
-                };
-            }
-            "--pool" => {
-                args.config.pool = match value("--pool")?.as_str() {
-                    "naive" => PoolKind::Naive,
-                    "shared" => PoolKind::SharedQueue,
-                    other => return Err(format!("--pool wants naive|shared, got {other}")),
-                };
-            }
             "--max-connections" => {
                 args.config.max_connections = value("--max-connections")?
                     .parse()
                     .map_err(|e| format!("--max-connections: {e}"))?;
-            }
-            "--threads" => {
-                args.config.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
             }
             "--allow-raw" => args.config.allow_raw = true,
             "--read-timeout-ms" => {
@@ -91,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: sero-server [--addr HOST:PORT] [--blocks N] \
-                     [--mode reactor|pool] [--pool naive|shared] [--threads N] \
                      [--allow-raw] [--max-connections N] \
                      [--read-timeout-ms N] [--write-timeout-ms N]"
                     .to_string())

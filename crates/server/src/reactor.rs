@@ -1,17 +1,15 @@
 //! The readiness-driven reactor: one event loop, many connections, one
 //! combining window.
 //!
-//! The blocking daemon hands each connection to a thread and pays a
-//! wake/handoff per request; under a client swarm the handoff — not the
-//! device — becomes the bottleneck, and worse, requests dribble into the
-//! [`ConcurrentFs`] combiner one at a time, so the flat combiner never
-//! sees the deep batches the admission scheduler is built for. The
-//! reactor inverts this: a single thread owns every socket in
-//! non-blocking mode and sweeps them poll(2)-style, so *all* requests
-//! readable in one sweep are decoded together and dispatched as **one**
-//! [`ConcurrentFs::handle_batch`] call — readiness batching *is* the
-//! combining window, and n concurrent clients naturally form depth-n
-//! admission batches.
+//! A blocking thread-per-connection daemon pays a wake/handoff per
+//! request, and its requests dribble into the [`ConcurrentFs`] combiner
+//! one at a time, so the flat combiner never sees the deep batches the
+//! admission scheduler is built for. The reactor inverts this: a single
+//! thread owns every socket in non-blocking mode and sweeps them
+//! poll(2)-style, so *all* requests readable in one sweep are decoded
+//! together and dispatched as **one** [`ConcurrentFs::handle_batch`]
+//! call — readiness batching *is* the combining window, and n
+//! concurrent clients naturally form depth-n admission batches.
 //!
 //! # Event-loop phases (one sweep)
 //!
@@ -58,7 +56,7 @@
 //! ```
 
 use sero_fs::concurrent::ConcurrentFs;
-use sero_proto::frame::{encode_response, FrameAssembler, FrameError, FrameKind};
+use sero_proto::frame::{encode_response, FrameAssembler, FrameKind};
 use sero_proto::{ErrorCode, Request, Response, WireError, MAX_PAYLOAD_BYTES};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -260,7 +258,7 @@ pub(crate) fn run_reactor(
                     Ok(None) => break,
                     Err(e) => {
                         // Unframeable bytes: answer best-effort, then
-                        // drain and close — mirrors the blocking daemon.
+                        // drain and close.
                         conn.queue_response(&Response::Error(WireError::from(e)));
                         conn.draining = true;
                     }
@@ -379,10 +377,10 @@ pub(crate) fn run_reactor(
     }
 }
 
-/// Decodes one request payload, applying the same gating as the blocking
-/// daemon: raw writes without `--allow-raw` answer
-/// [`ErrorCode::UnsupportedCommand`], a sound frame with an
-/// unintelligible payload answers `Malformed` and keeps the connection.
+/// Decodes one request payload and applies the daemon's gating: raw
+/// writes without `--allow-raw` answer [`ErrorCode::UnsupportedCommand`].
+/// A sound frame (magic, CRC) whose payload does not decode answers
+/// `Malformed` and keeps the connection.
 fn decode_request(payload: &[u8], allow_raw: bool) -> Decoded {
     match Request::decode(payload) {
         Ok(Request::RawWrite { .. }) if !allow_raw => {
@@ -392,16 +390,13 @@ fn decode_request(payload: &[u8], allow_raw: bool) -> Decoded {
             )))
         }
         Ok(request) => Decoded::Dispatch(request),
-        Err(e @ FrameError::Malformed { .. }) => {
-            Decoded::Ready(Response::Error(WireError::from(e)))
-        }
         Err(e) => Decoded::Ready(Response::Error(WireError::from(e))),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{SeroServer, ServerConfig, ServerMode};
+    use crate::server::{SeroServer, ServerConfig};
     use sero_core::device::SeroDevice;
     use sero_fs::fs::{FsConfig, SeroFs};
     use sero_proto::frame::{encode_request, read_frame, write_frame, FrameKind};
@@ -435,7 +430,6 @@ mod tests {
     #[test]
     fn cap_refuses_with_server_busy_and_readmits_after_reap() {
         let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
             max_connections: 2,
             read_timeout: Some(Duration::from_secs(30)),
             ..ServerConfig::default()
@@ -481,10 +475,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answer_in_order_from_one_window() {
-        let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
-            ..ServerConfig::default()
-        });
+        let (handle, addr) = reactor_server(ServerConfig::default());
         let mut conn = blocking_conn(addr);
         // Three requests in a single write: the reactor decodes all of
         // them from one readable sweep and answers in order.
@@ -511,7 +502,6 @@ mod tests {
     #[test]
     fn stalled_mid_frame_peer_is_reaped_by_the_reactor_timer() {
         let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
             read_timeout: Some(Duration::from_millis(100)),
             ..ServerConfig::default()
         });

@@ -1,76 +1,42 @@
-//! The TCP daemon: accept loop, per-connection frame loop, lifecycle.
+//! The TCP daemon: configuration, bind, and lifecycle around the
+//! [`reactor`](crate::reactor) event loop.
 
-use crate::pool::{NaiveThreadPool, SharedQueueThreadPool, ThreadPool};
 use sero_fs::concurrent::ConcurrentFs;
 use sero_fs::SeroFs;
-use sero_proto::frame::{read_frame, write_frame, FrameError};
-use sero_proto::{ErrorCode, FrameKind, Request, Response, WireError};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-/// How long the accept loop sleeps between polls of a quiet listener;
-/// also the bound on how stale a shutdown check can get.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// How the daemon multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One readiness-driven event loop owning every socket (the
-    /// default): all requests readable in a sweep dispatch as a single
-    /// [`ConcurrentFs`] combining window. See [`crate::reactor`].
-    Reactor,
-    /// The blocking thread-per-connection path, kept as the dispatch
-    /// baseline `exp_server`/`exp_reactor` benchmark against.
-    Pool,
-}
-
-/// Which connection-handling pool the daemon uses (pool mode only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolKind {
-    /// Thread-per-connection (the baseline `exp_server` benchmarks
-    /// against).
-    Naive,
-    /// A fixed worker set draining one shared queue (the default).
-    SharedQueue,
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Connection multiplexing strategy.
-    pub mode: ServerMode,
-    /// Connection-handling pool (pool mode only).
-    pub pool: PoolKind,
-    /// Worker threads (shared-queue pool only).
-    pub threads: u32,
-    /// Serve [`Request::RawWrite`] — the §5 attacker interface, for
-    /// tamper drills and smoke tests. Off by default: a production
-    /// daemon refuses raw writes with
-    /// [`ErrorCode::UnsupportedCommand`].
+    /// Serve [`Request::RawWrite`](sero_proto::Request::RawWrite) — the
+    /// §5 attacker interface, for tamper drills and smoke tests. Off by
+    /// default: a production daemon refuses raw writes with
+    /// [`ErrorCode::UnsupportedCommand`](sero_proto::ErrorCode::UnsupportedCommand).
     pub allow_raw: bool,
     /// Per-connection read deadline. A peer that goes quiet mid-frame
-    /// (or idles between frames) past this is reaped — its worker goes
-    /// back to the pool instead of blocking forever. `None` disables.
+    /// (or idles between frames) past this with nothing owed is reaped,
+    /// freeing its connection slot. `None` disables.
     pub read_timeout: Option<Duration>,
-    /// Per-connection write deadline. A peer that stops draining
-    /// responses cannot pin a worker in `write_all`. `None` disables.
+    /// Per-connection write deadline. A peer that stops draining its
+    /// responses past this is reaped instead of holding its outbox
+    /// forever. `None` disables.
     pub write_timeout: Option<Duration>,
     /// Connection cap: past this many live connections a newcomer is
-    /// answered with a typed [`ErrorCode::ServerBusy`] refusal frame and
-    /// closed, instead of growing the accept queue silently.
+    /// answered with a typed
+    /// [`ErrorCode::ServerBusy`](sero_proto::ErrorCode::ServerBusy)
+    /// refusal frame and closed, instead of growing the accept queue
+    /// silently.
     pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            mode: ServerMode::Reactor,
-            pool: PoolKind::SharedQueue,
-            threads: 4,
             allow_raw: false,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
@@ -79,24 +45,10 @@ impl Default for ServerConfig {
     }
 }
 
-enum Pool {
-    Naive(NaiveThreadPool),
-    Shared(SharedQueueThreadPool),
-}
-
-impl Pool {
-    fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        match self {
-            Pool::Naive(p) => p.spawn(job),
-            Pool::Shared(p) => p.spawn(job),
-        }
-    }
-}
-
 /// A bound, not-yet-running daemon serving one [`SeroFs`] through a
-/// [`ConcurrentFs`]: workers call `handle` re-entrantly and the combiner
-/// merges queued reads into bulk sweeps, instead of every worker
-/// serializing on one global file-system mutex.
+/// [`ConcurrentFs`]: the reactor dispatches every request readable in a
+/// sweep as one combining window, so the combiner merges concurrent
+/// clients' reads into bulk sweeps.
 pub struct SeroServer {
     listener: TcpListener,
     fs: ConcurrentFs,
@@ -147,88 +99,19 @@ impl SeroServer {
         self.listener.local_addr()
     }
 
-    /// Runs the daemon on the calling thread until
-    /// [`ServerHandle::shutdown`] trips the stop flag: the readiness
-    /// reactor in [`ServerMode::Reactor`] (the default), the blocking
-    /// accept loop + pool in [`ServerMode::Pool`].
+    /// Runs the reactor on the calling thread until
+    /// [`ServerHandle::shutdown`] trips the stop flag.
     ///
     /// # Errors
     ///
-    /// Fatal accept-loop errors; per-connection errors are contained to
+    /// Fatal listener errors; per-connection errors are contained to
     /// their connection.
     pub fn run(self) -> io::Result<()> {
-        match self.config.mode {
-            ServerMode::Reactor => {
-                crate::reactor::run_reactor(self.listener, &self.fs, &self.config, &self.stop)
-            }
-            ServerMode::Pool => self.run_pool(),
-        }
+        crate::reactor::run_reactor(self.listener, &self.fs, &self.config, &self.stop)
     }
 
-    /// The blocking accept loop: thread-per-connection via the
-    /// configured pool, with the connection cap enforced at accept time.
-    fn run_pool(self) -> io::Result<()> {
-        let pool = match self.config.pool {
-            PoolKind::Naive => Pool::Naive(NaiveThreadPool::new(self.config.threads)),
-            PoolKind::SharedQueue => Pool::Shared(SharedQueueThreadPool::new(self.config.threads)),
-        };
-        // Track a clone of every served stream so shutdown can sever
-        // them: a worker blocked in read_frame on an idle connection
-        // would otherwise pin the pool's drop-join forever.
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        // Live connections, for the --max-connections refusal.
-        let live: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
-        // A non-blocking listener bounds the shutdown check: a quiet
-        // listener polls every ACCEPT_POLL instead of parking in accept
-        // until a connection (possibly never) arrives.
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match self.listener.accept() {
-                Ok((s, _)) => s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-                Err(_) => continue, // transient accept failure
-            };
-            // Accepted sockets may inherit the listener's non-blocking
-            // mode on some platforms; the frame loop wants deadlines,
-            // not busy-waiting.
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_read_timeout(self.config.read_timeout);
-            let _ = stream.set_write_timeout(self.config.write_timeout);
-            if live.load(Ordering::SeqCst) >= self.config.max_connections {
-                refuse_connection(stream, self.config.max_connections);
-                continue;
-            }
-            live.fetch_add(1, Ordering::SeqCst);
-            if let (Ok(clone), Ok(mut held)) = (stream.try_clone(), conns.lock()) {
-                held.push(clone);
-            }
-            let fs = self.fs.clone();
-            let allow_raw = self.config.allow_raw;
-            let live = Arc::clone(&live);
-            pool.spawn(move || {
-                serve_connection(stream, &fs, allow_raw);
-                live.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        if let Ok(held) = conns.lock() {
-            for conn in held.iter() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-        // Dropping the pool joins its workers; the severed connections
-        // guarantee each one drains promptly.
-        drop(pool);
-        Ok(())
-    }
-
-    /// Runs the accept loop on a background thread and returns a handle
-    /// that can stop it.
+    /// Runs the reactor on a background thread and returns a handle that
+    /// can stop it.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let stop = Arc::clone(&self.stop);
@@ -250,91 +133,12 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops the accept loop and joins the daemon thread. Connections
-    /// already being served finish their current request.
+    /// Trips the stop flag and joins the daemon thread. The reactor
+    /// checks the flag at the top of every sweep (an idle sweep sleeps
+    /// well under a millisecond), then severs every connection and
+    /// returns.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The polling accept loop notices the flag within ACCEPT_POLL on
-        // its own; a throwaway connection just wakes it immediately.
-        let _ = TcpStream::connect(self.addr);
         let _ = self.thread.join();
-    }
-}
-
-/// Answers a connection over the cap with a typed
-/// [`ErrorCode::ServerBusy`] refusal frame and closes it — the peer gets
-/// a machine-readable reason instead of a silent queue or a bare reset.
-fn refuse_connection(mut stream: TcpStream, cap: usize) {
-    let resp = Response::Error(WireError::new(
-        ErrorCode::ServerBusy,
-        format!("connection refused: server is at --max-connections {cap}"),
-    ));
-    let _ = write_frame(&mut stream, FrameKind::Response, &resp.encode());
-    let _ = stream.shutdown(Shutdown::Write);
-}
-
-/// Serves one connection: a loop of read-frame → dispatch → write-frame.
-/// Frame-level failures answer a best-effort error response and close;
-/// command-level failures answer [`Response::Error`] and keep going. A
-/// read deadline expiring is the idle/stalled-peer reap: the connection
-/// closes silently and the worker returns to the pool.
-fn serve_connection(stream: TcpStream, fs: &ConcurrentFs, allow_raw: bool) {
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    loop {
-        let (kind, payload) = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,                 // clean EOF between frames
-            Err(e) if e.is_timeout() => return, // idle/stalled peer: reap
-            Err(e) => {
-                let resp = Response::Error(WireError::from(e));
-                let _ = write_frame(&mut writer, FrameKind::Response, &resp.encode());
-                return;
-            }
-        };
-        if kind != FrameKind::Request {
-            let resp = Response::Error(WireError::new(
-                ErrorCode::BadFrame,
-                "expected a request frame",
-            ));
-            let _ = write_frame(&mut writer, FrameKind::Response, &resp.encode());
-            return;
-        }
-        let response = match Request::decode(&payload) {
-            Ok(Request::RawWrite { .. }) if !allow_raw => Response::Error(WireError::new(
-                ErrorCode::UnsupportedCommand,
-                "raw writes are disabled; restart the daemon with --allow-raw for tamper drills",
-            )),
-            Ok(request) => fs.handle(request),
-            Err(e @ FrameError::Malformed { .. }) => {
-                // The frame itself was sound (magic, CRC); only the
-                // payload was unintelligible. Answer and keep the
-                // connection.
-                Response::Error(WireError::from(e))
-            }
-            Err(e) => {
-                let resp = Response::Error(WireError::from(e));
-                let _ = write_frame(&mut writer, FrameKind::Response, &resp.encode());
-                return;
-            }
-        };
-        match write_frame(&mut writer, FrameKind::Response, &response.encode()) {
-            Ok(()) => {}
-            Err(FrameError::Oversize { len }) => {
-                // Too big for one frame: answer a typed refusal instead
-                // of dying. The substitute is short and always encodes.
-                let refusal = Response::Error(WireError::new(
-                    ErrorCode::OversizeResponse,
-                    format!("response of {len} bytes exceeds the frame limit"),
-                ));
-                if write_frame(&mut writer, FrameKind::Response, &refusal.encode()).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
     }
 }

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use sero::proto::frame::{
     decode_frame, encode_request, FrameAssembler, FrameError, FrameKind, FRAME_OVERHEAD_BYTES,
 };
-use sero::proto::Request;
-use sero_server::{SeroServer, ServerConfig, ServerMode};
+use sero::proto::{Request, FRAME_MAGIC};
+use sero_server::{SeroServer, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -190,7 +190,6 @@ fn stalled_mid_frame_peer_is_reaped_without_pinning_others() {
         "127.0.0.1:0",
         fs,
         ServerConfig {
-            mode: ServerMode::Reactor,
             read_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
         },
@@ -200,10 +199,10 @@ fn stalled_mid_frame_peer_is_reaped_without_pinning_others() {
     .unwrap();
     let addr = handle.addr();
 
-    // Three stallers, each a different depth into a frame: half the
-    // magic, the full header, and a torn payload.
+    // Four stallers, each a different depth into a frame: half the
+    // magic, the full magic, the full header, and a torn payload.
     let torn = encode_request(&Request::Read { name: "x".into() }).unwrap();
-    let mut stallers: Vec<TcpStream> = [2usize, 10, torn.len() - 2]
+    let mut stallers: Vec<TcpStream> = [2usize, FRAME_MAGIC.len(), 10, torn.len() - 2]
         .into_iter()
         .map(|cut| {
             let mut s = TcpStream::connect(addr).unwrap();

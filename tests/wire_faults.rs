@@ -1,13 +1,15 @@
 //! Wire-path fault injection: stalled peers, dead servers, and torn
 //! frames. Pins the self-healing contract — a stalled or dead peer
 //! never wedges `sero-client` (deadlines) or pins a `sero-server`
-//! worker (idle reap), idempotent requests heal over a fresh connection,
-//! and mutations are never retried.
+//! connection slot (idle reap), idempotent requests heal over a fresh
+//! connection, and mutations are never retried. Stalls at every depth
+//! into a frame are pinned in `reactor_props`.
 
 use sero_client::{ClientConfig, SeroClient};
 use sero_core::device::SeroDevice;
 use sero_fs::fs::{FsConfig, SeroFs};
-use sero_server::{PoolKind, SeroServer, ServerConfig, ServerHandle};
+use sero_proto::FRAME_MAGIC;
+use sero_server::{SeroServer, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,34 +39,48 @@ fn quick_client(addr: SocketAddr) -> SeroClient {
 }
 
 /// A peer that sends half a frame header and then stalls must not pin
-/// the only worker: the server's read deadline reaps it and the next
-/// client gets served.
+/// the only connection slot: the server's read deadline reaps it and
+/// the next client gets served.
 #[test]
 fn stalled_peer_is_reaped_and_does_not_pin_a_worker() {
     let (handle, addr) = spawn_server(
         256,
         ServerConfig {
-            pool: PoolKind::SharedQueue,
-            threads: 1, // a single worker makes pinning observable
+            max_connections: 1, // a single slot makes pinning observable
             read_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
         },
     );
 
-    // The stall: four header bytes, then silence. Keep the socket open
-    // so only the reap (not an EOF) can free the worker.
+    // The stall: the frame magic, then silence. Keep the socket open so
+    // only the reap (not an EOF) can free the slot.
     let mut staller = TcpStream::connect(addr).unwrap();
-    staller.write_all(&[0x53, 0x46, 0x52, 0x4D]).unwrap();
+    staller.write_all(&FRAME_MAGIC).unwrap();
 
-    // The victim: with the worker pinned this ping would wait forever;
-    // the reap frees it within the read deadline.
+    // The victim: while the staller holds the slot it is refused with
+    // `ServerBusy`; the reap frees the slot within the read deadline.
     let t0 = Instant::now();
-    let mut client = quick_client(addr);
-    client.ping().expect("stalled peer must not block service");
+    loop {
+        let served = quick_client(addr).ping();
+        if served.is_ok() {
+            break;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "stalled peer still blocks service after {:?}: {served:?}",
+            t0.elapsed()
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+
+    // The timer — not our EOF — closed the staller from the server side.
+    staller
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 64];
     assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "served only after an unreasonable delay: {:?}",
-        t0.elapsed()
+        matches!(staller.read(&mut buf), Ok(0) | Err(_)),
+        "stalled peer was not reaped"
     );
 
     drop(staller);
